@@ -118,12 +118,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "(default: jsonl)",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not update the incremental lint cache "
-        "(analysis/.lintcache.json); full-rule runs use it by default",
-    )
-    parser.add_argument(
         "--conformance",
         action="append",
         default=[],
@@ -174,19 +168,9 @@ def run_lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if not root.is_dir():
         parser.error(f"not a directory: {root}")
 
-    # The incremental cache only serves full-rule runs over the default
-    # root — a --rule or --root selection would poison its entries.
-    cache = None
-    if rules is None and args.root is None and not getattr(args, "no_cache", False):
-        from repro.analysis.lintcache import open_cache
-
-        cache = open_cache(repo_root(), root)
-
     t0 = time.perf_counter()
-    findings = run_checkers(root, all_checkers(), rules=rules, cache=cache)
+    findings = run_checkers(root, all_checkers(), rules=rules)
     elapsed = time.perf_counter() - t0
-    if cache is not None:
-        cache.save()
 
     conform_reports = _run_conformance(args, parser)
 
@@ -270,11 +254,6 @@ def run_lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             "fixed": len(cmp.fixed),
             "gate_passed": cmp.gate_passed,
             "elapsed_s": round(elapsed, 3),
-            "cache": (
-                {"hits": cache.hits, "misses": cache.misses}
-                if cache is not None
-                else None
-            ),
         },
     )
     if conform_reports is not None:
@@ -290,15 +269,10 @@ def run_lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     for f in cmp.new:
         print(f.format())
-    cache_note = (
-        f", cache {cache.hits} hit/{cache.misses} analysed"
-        if cache is not None
-        else ""
-    )
     summary = (
         f"[lint: {len(findings)} finding(s) — {len(cmp.new)} new, "
         f"{len(cmp.baselined)} baselined, {len(cmp.fixed)} fixed vs baseline; "
-        f"{elapsed:.2f}s{cache_note}]"
+        f"{elapsed:.2f}s]"
     )
     print(summary)
     if cmp.fixed:

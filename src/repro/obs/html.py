@@ -431,12 +431,6 @@ def _code_health_card(status: Dict[str, Any]) -> str:
             f"{lint.get('new', 0)} new",
             f"{lint.get('baselined', 0)} baselined",
         ]
-        cache = lint.get("cache")
-        if isinstance(cache, dict):
-            bits.append(
-                f"cache {cache.get('hits', 0)} hit/"
-                f"{cache.get('misses', 0)} analysed"
-            )
         elapsed = lint.get("elapsed_s")
         if isinstance(elapsed, (int, float)):
             bits.append(f"{elapsed:.2f}s")

@@ -7,15 +7,16 @@ module adds a side channel over the pipe the workers already have:
 * **Worker side** — :class:`ProgressReporter` runs inside
   ``python -m repro.runner --worker ... --progress``.  It wraps
   ``Simulator.run`` (class-wide, so every simulator an experiment
-  creates is covered) to learn the currently-running simulator and its
-  ``until`` horizon, and a daemon thread emits one JSON heartbeat per
-  interval on stdout — the worker's stdout is otherwise unused, so the
-  protocol needs no new file descriptors.  The live event count comes
-  from inspecting the engine frame's local ``processed`` counter via
-  ``sys._current_frames()``: the hot loop only flushes it to
-  ``events_processed`` when ``run()`` returns, and instrumenting the
-  loop itself would tax the very hot path the runner exists to measure.
-  Sampling from the reporter thread costs the engine nothing.
+  creates is covered) and runs each finite ``until`` horizon as
+  back-to-back virtual-time slices.  Between slices, on the simulation
+  thread, it writes one JSON heartbeat on stdout once the wall interval
+  has passed — the worker's stdout is otherwise unused, so the protocol
+  needs no new file descriptors.  Slicing is invisible to the run: the
+  engine advances its clock to each slice end exactly as it would pass
+  that instant inside one long run, and a slice ended by
+  ``Simulator.stop()`` ends the whole call.  The event count is exact —
+  ``events_processed`` summed at slice boundaries — and the engine's
+  per-event loop carries no instrumentation.
 
 * **Parent side** — :class:`ProgressBoard` collects heartbeats (and
   start/done/failed lifecycle records) from all workers, renders
@@ -49,42 +50,9 @@ HEARTBEAT = "sweep.heartbeat"
 
 Emit = Callable[[str], None]
 
-# ---------------------------------------------------------------------------
-# Cross-thread contract, machine-checked by the ``thread-shared-state``
-# lint rule (repro.analysis.threads).  The ProgressReporter daemon thread
-# (_loop -> sample -> _frame_processed) may READ exactly these reporter
-# attributes; everything else it touches is a lint finding.  Keep these in
-# sync when the sampler grows: the point is that the diff to this list is
-# the review surface for new cross-thread traffic.
-# ---------------------------------------------------------------------------
-
-#: reporter attributes the daemon thread may read (shared with the main
-#: thread; scalar snapshots or intentionally thread-safe objects).
-THREAD_SHARED_READS = frozenset(
-    {
-        "exp_id",
-        "interval",
-        "_out",
-        "_lock",
-        "_cur_sim",
-        "_cur_until",
-        "_events_done",
-        "_t0",
-        "_stop",
-        "_run_code",
-    }
-)
-
-#: attributes only the daemon thread itself touches (read *and* write).
-THREAD_OWNED = frozenset({"_last"})
-
-#: attributes holding live foreign objects (the running Simulator);
-#: locals aliasing them are dataflow-tracked by the rule.
-THREAD_SHARED_OBJECTS = frozenset({"_cur_sim"})
-
-#: the only attributes the thread may read on such a foreign object —
-#: ``Simulator.now`` is a plain float slot, racy-read safe by design.
-THREAD_SHARED_OBJECT_READS = frozenset({"now"})
+#: Virtual seconds covered by the first slice of a run (before its
+#: virtual-time rate is measured) and the floor under every later slice.
+MIN_SLICE = 1e-3
 
 
 def default_progress_path(cache_dir: Optional[Path] = None) -> Path:
@@ -111,18 +79,12 @@ class ProgressReporter:
     ):
         self.exp_id = exp_id
         self.interval = interval
-        self._out = out if out is not None else sys.stdout
-        self._lock = threading.Lock()
-        self._cur_sim: Optional[Any] = None
-        self._cur_until: Optional[float] = None
-        self._cur_base = 0
+        self._out: Optional[TextIO] = out if out is not None else sys.stdout
         self._events_done = 0
         self._t0 = time.perf_counter()
+        self._last_beat = self._t0
         self._last: Optional[tuple] = None
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
         self._orig_run: Optional[Callable] = None
-        self._run_code = None
 
     # -- engine hook -----------------------------------------------------
     def start(self) -> "ProgressReporter":
@@ -132,37 +94,20 @@ class ProgressReporter:
             raise RuntimeError("reporter already started")
         orig = engine.Simulator.run
         self._orig_run = orig
-        self._run_code = orig.__code__
-        reporter = self
 
         @functools.wraps(orig)
         def run(sim, until=None):
-            with reporter._lock:
-                reporter._cur_sim = sim
-                reporter._cur_until = until
-                reporter._cur_base = sim.events_processed
-            try:
-                return orig(sim, until)
-            finally:
-                with reporter._lock:
-                    reporter._events_done += (
-                        sim.events_processed - reporter._cur_base
-                    )
-                    reporter._cur_sim = None
-                    reporter._cur_until = None
+            if until is None or until == inf:
+                before = sim.events_processed
+                orig(sim, until)
+                self._events_done += sim.events_processed - before
+            else:
+                self._run_sliced(orig, sim, until)
 
         engine.Simulator.run = run
-        self._thread = threading.Thread(
-            target=self._loop, name="progress-reporter", daemon=True
-        )
-        self._thread.start()
         return self
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
         if self._orig_run is not None:
             from repro.sim import engine
 
@@ -175,40 +120,38 @@ class ProgressReporter:
     def __exit__(self, *exc: Any) -> None:
         self.stop()
 
-    # -- sampling --------------------------------------------------------
-    def _frame_processed(self) -> int:
-        """Read the engine loop's local ``processed`` from its live frame.
+    def _run_sliced(self, run: Callable, sim: Any, until: float) -> None:
+        """``run(sim, until)`` as slices, with heartbeats between them.
 
-        Zero cost on the hot path; any failure (no frame yet, exotic
-        interpreter) degrades to 0 rather than raising in the sampler.
+        Each slice aims at a quarter of the heartbeat interval at the
+        virtual-time rate the previous slice measured, growing at most
+        twofold per slice so an idle stretch cannot make the next slice
+        swallow a busy one, and never shorter than :data:`MIN_SLICE`.
         """
-        try:
-            frames = sys._current_frames()
-        except Exception:
-            return 0
-        for frame in frames.values():
-            f, depth = frame, 0
-            while f is not None and depth < 64:
-                if f.f_code is self._run_code:
-                    try:
-                        return int(f.f_locals.get("processed", 0))
-                    except Exception:
-                        return 0
-                f = f.f_back
-                depth += 1
-        return 0
+        step = MIN_SLICE
+        while True:
+            start, before = sim.now, sim.events_processed
+            end = min(until, start + step)
+            w0 = time.perf_counter()
+            run(sim, end)
+            wall = time.perf_counter()
+            self._events_done += sim.events_processed - before
+            if wall - self._last_beat >= self.interval:
+                self._last_beat = wall
+                self._write(self.sample(sim, until))
+            if sim.stopped or end >= until:
+                return
+            rate = (end - start) / max(wall - w0, 1e-9)
+            step = max(MIN_SLICE, min(2 * step, rate * self.interval / 4))
 
-    def sample(self) -> Dict[str, Any]:
-        """One heartbeat record from the current engine state."""
+    # -- sampling --------------------------------------------------------
+    def sample(
+        self, sim: Optional[Any] = None, until: Optional[float] = None
+    ) -> Dict[str, Any]:
+        """One heartbeat record for ``sim`` running to ``until``."""
         wall = time.perf_counter() - self._t0
-        with self._lock:
-            sim = self._cur_sim
-            until = self._cur_until
-            events = self._events_done
-        vt: Optional[float] = None
-        if sim is not None:
-            vt = sim.now
-            events += self._frame_processed()
+        vt = sim.now if sim is not None else None
+        events = self._events_done
         rec: Dict[str, Any] = {
             "kind": HEARTBEAT,
             "exp": self.exp_id,
@@ -231,14 +174,14 @@ class ProgressReporter:
         self._last = (wall, vt, events)
         return rec
 
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            rec = self.sample()
-            try:
-                self._out.write(json.dumps(rec, separators=(",", ":")) + "\n")
-                self._out.flush()
-            except (ValueError, OSError):
-                return  # pipe gone: parent died, stop quietly
+    def _write(self, rec: Dict[str, Any]) -> None:
+        if self._out is None:
+            return
+        try:
+            self._out.write(json.dumps(rec, separators=(",", ":")) + "\n")
+            self._out.flush()
+        except (ValueError, OSError):
+            self._out = None  # pipe gone: parent died, stop quietly
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,8 @@ class Simulator:
         self._heap: list[tuple] = []
         self._counter = itertools.count()
         self._running = False
+        #: True when the last run returned because :meth:`stop` was called.
+        self.stopped = False
         self.rng = random.Random(seed)
         self.events_processed = 0
 
@@ -187,7 +189,10 @@ class Simulator:
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fired earlier, so back-to-back ``run``
-        segments observe a continuous clock.
+        segments observe a continuous clock.  A run ended by :meth:`stop`
+        leaves the clock at the last fired event (and sets
+        :attr:`stopped`): events before ``until`` may still be queued, and
+        the next ``run`` must not move the clock backwards to fire them.
         """
         heap = self._heap
         pop = heapq.heappop
@@ -213,9 +218,10 @@ class Simulator:
                 processed += 1
                 ev.fn(*ev.args)
         finally:
+            self.stopped = not self._running
             self._running = False
             self.events_processed += processed
-        if until is not None and self.now < until:
+        if until is not None and self.now < until and not self.stopped:
             self.now = until
 
     def run_profiled(
@@ -272,9 +278,10 @@ class Simulator:
                     ent[0] += 1
                     ent[1] += dt
         finally:
+            self.stopped = not self._running
             self._running = False
             self.events_processed += processed
-        if until is not None and self.now < until:
+        if until is not None and self.now < until and not self.stopped:
             self.now = until
         return acc
 

@@ -9,10 +9,8 @@ from repro.analysis.baseline import compare, load_baseline, write_baseline
 from repro.analysis.core import Finding, default_root, repo_root, run_checkers
 from repro.analysis.event_schema import EventSchemaChecker
 from repro.analysis.sanitizer import Divergence, SanitizerResult, diff_traces
-from repro.analysis.lintcache import ModuleCache
 from repro.analysis.sansio import SansioPurityChecker
 from repro.analysis.seqno_taint import SeqnoTaintChecker
-from repro.analysis.threads import ThreadSharedStateChecker
 from repro.analysis.units import UnitsChecker
 from repro.analysis.vtime import VtimeDeterminismChecker
 
@@ -54,7 +52,6 @@ def test_rule_ids_cover_all_checkers():
         "event-schema",
         "sansio-purity",
         "seqno-taint",
-        "thread-shared-state",
         "units",
         "vtime-determinism",
     ]
@@ -309,173 +306,6 @@ def test_units_flags_emit_payload_against_catalog(tmp_path):
     findings = run_checkers(root, [UnitsChecker()])
     assert _rules(findings) == ["units"]
     assert "declared [pkts]" in findings[0].message
-
-
-# -- thread-shared-state --------------------------------------------------
-
-_THREAD_DECLS = (
-    'THREAD_SHARED_READS = frozenset({"_interval", "_cur_sim"})\n'
-    'THREAD_OWNED = frozenset({"_last"})\n'
-    'THREAD_SHARED_OBJECTS = frozenset({"_cur_sim"})\n'
-    'THREAD_SHARED_OBJECT_READS = frozenset({"now"})\n'
-)
-
-
-def test_thread_missing_allowlist_is_a_finding(tmp_path):
-    root = _tree(
-        tmp_path,
-        {
-            "runner/x.py": (
-                "import threading\n"
-                "class R:\n"
-                "    def start(self):\n"
-                "        threading.Thread(target=self._run).start()\n"
-                "    def _run(self):\n"
-                "        pass\n"
-            )
-        },
-    )
-    findings = run_checkers(root, [ThreadSharedStateChecker()])
-    assert _rules(findings) == ["thread-shared-state"]
-    assert "THREAD_SHARED_READS" in findings[0].message
-
-
-def test_thread_undeclared_read_and_write(tmp_path):
-    root = _tree(
-        tmp_path,
-        {
-            "runner/x.py": (
-                "import threading\n" + _THREAD_DECLS + "class R:\n"
-                "    def start(self):\n"
-                "        threading.Thread(target=self._run).start()\n"
-                "    def _run(self):\n"
-                "        x = self._secret\n"
-                "        self._count = 1\n"
-                "        self._last = 2\n"
-            )
-        },
-    )
-    findings = run_checkers(root, [ThreadSharedStateChecker()])
-    msgs = " | ".join(f.message for f in findings)
-    assert len(findings) == 2
-    assert "self._secret" in msgs and "self._count" in msgs
-
-
-def test_thread_shared_object_alias_mutation(tmp_path):
-    # The alias is what the dataflow framework buys: `sim` is a plain
-    # local, but it carries the shared-object label from self._cur_sim.
-    root = _tree(
-        tmp_path,
-        {
-            "runner/x.py": (
-                "import threading\n" + _THREAD_DECLS + "class R:\n"
-                "    def start(self):\n"
-                "        threading.Thread(target=self._run).start()\n"
-                "    def _run(self):\n"
-                "        sim = self._cur_sim\n"
-                "        t = sim.now\n"
-                "        sim.step()\n"
-            )
-        },
-    )
-    findings = run_checkers(root, [ThreadSharedStateChecker()])
-    assert _rules(findings) == ["thread-shared-state"]
-    assert ".step" in findings[0].message
-
-
-def test_thread_main_thread_methods_unconstrained(tmp_path):
-    root = _tree(
-        tmp_path,
-        {
-            "runner/x.py": (
-                "import threading\n" + _THREAD_DECLS + "class R:\n"
-                "    def start(self):\n"
-                "        threading.Thread(target=self._run).start()\n"
-                "        self.anything = 1\n"
-                "    def _run(self):\n"
-                "        return self._interval\n"
-            )
-        },
-    )
-    assert run_checkers(root, [ThreadSharedStateChecker()]) == []
-
-
-# -- incremental cache ----------------------------------------------------
-
-
-def test_cache_serves_identical_findings(tmp_path):
-    root = _tree(
-        tmp_path / "src",
-        {"udt/x.py": "def f(a_seq, b_seq):\n    return a_seq < b_seq\n"},
-    )
-    c1 = ModuleCache(tmp_path / "cache.json", "digest0")
-    first = run_checkers(root, [SeqnoTaintChecker()], cache=c1)
-    c1.save()
-    assert (c1.hits, c1.misses) == (0, 1) and _rules(first) == ["seqno-taint"]
-    c2 = ModuleCache(tmp_path / "cache.json", "digest0")
-    second = run_checkers(root, [SeqnoTaintChecker()], cache=c2)
-    assert (c2.hits, c2.misses) == (1, 0)
-    assert second == first
-
-
-def test_cache_invalidated_by_content_change(tmp_path):
-    root = _tree(
-        tmp_path / "src",
-        {"udt/x.py": "def f(a_seq, b_seq):\n    return a_seq < b_seq\n"},
-    )
-    c1 = ModuleCache(tmp_path / "cache.json", "digest0")
-    run_checkers(root, [SeqnoTaintChecker()], cache=c1)
-    c1.save()
-    (root / "udt" / "x.py").write_text(
-        "def f(a_seq, b_seq):\n    return seq_cmp(a_seq, b_seq)\n"
-    )
-    c2 = ModuleCache(tmp_path / "cache.json", "digest0")
-    second = run_checkers(root, [SeqnoTaintChecker()], cache=c2)
-    assert (c2.hits, c2.misses) == (0, 1)
-    assert second == []
-
-
-def test_cache_invalidated_by_analysis_digest(tmp_path):
-    # New checker code (a changed analysis digest) must drop the cache
-    # wholesale — stale findings from an older rule version are worse
-    # than a cold run.
-    root = _tree(
-        tmp_path / "src",
-        {"udt/x.py": "def f(a_seq, b_seq):\n    return a_seq < b_seq\n"},
-    )
-    c1 = ModuleCache(tmp_path / "cache.json", "digest0")
-    run_checkers(root, [SeqnoTaintChecker()], cache=c1)
-    c1.save()
-    c2 = ModuleCache(tmp_path / "cache.json", "digest1")
-    run_checkers(root, [SeqnoTaintChecker()], cache=c2)
-    assert (c2.hits, c2.misses) == (0, 1)
-
-
-def test_cache_replays_summaries_for_cross_module_finalize(tmp_path):
-    """A fully-cached run must still produce event-schema's cross-module
-    finding: consumptions replay through module summaries into finalize."""
-    root = _tree(
-        tmp_path / "src",
-        {
-            "udt/x.py": (
-                "def f(bus, t):\n"
-                '    bus.emit("cc.decrease", t, "s", trigger="nak")\n'
-            ),
-            "obs/report.py": (
-                "def g(rec, kind):\n"
-                '    if kind == "cc.decrease":\n'
-                '        return rec["window"]\n'
-            ),
-        },
-    )
-    c1 = ModuleCache(tmp_path / "cache.json", "d")
-    first = run_checkers(root, [EventSchemaChecker()], cache=c1)
-    c1.save()
-    assert any("no emit site produces" in f.message for f in first)
-    c2 = ModuleCache(tmp_path / "cache.json", "d")
-    second = run_checkers(root, [EventSchemaChecker()], cache=c2)
-    assert (c2.hits, c2.misses) == (2, 0)
-    assert any("no emit site produces" in f.message for f in second)
 
 
 # -- sansio-purity --------------------------------------------------------

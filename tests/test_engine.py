@@ -94,6 +94,24 @@ def test_stop_aborts_run():
     assert seen == [1, 2]
 
 
+@pytest.mark.parametrize("method", ["run", "run_profiled"])
+def test_stop_before_until_keeps_clock_monotone(method):
+    sim = Simulator()
+    times = []
+
+    def first():
+        times.append(sim.now)
+        sim.stop()
+
+    sim.schedule(1.0, first)
+    sim.schedule(2.0, lambda: times.append(sim.now))
+    getattr(sim, method)(until=5.0)
+    assert sim.stopped and sim.now == 1.0  # not 5.0: the 2.0 event is queued
+    getattr(sim, method)(until=5.0)
+    assert not sim.stopped
+    assert times == [1.0, 2.0] and sim.now == 5.0
+
+
 def test_pending_counts_live_events():
     sim = Simulator()
     ev1 = sim.schedule(1.0, lambda: None)

@@ -1,11 +1,11 @@
 """Live sweep telemetry: worker heartbeats, the progress board, the feed.
 
-The reporter is tested against a real engine run (the frame-inspection
-event counter has no other honest test) and with a stub simulator for
-the rate/ETA arithmetic; the board and ``read_progress`` are pure
-record-folding and test directly.  The end-to-end ``sweep --progress``
-path (subprocess pipe included) lives in the slow tier with the other
-subprocess sweeps.
+The reporter is tested against real engine runs — slicing must leave
+the trace, the event count and the clock exactly as an unwrapped run
+leaves them — and directly for the rate/ETA arithmetic; the board and
+``read_progress`` are pure record-folding and test directly.  The
+end-to-end ``sweep --progress`` path (subprocess pipe included) lives
+in the slow tier with the other subprocess sweeps.
 """
 
 import io
@@ -16,6 +16,7 @@ import pytest
 
 from repro.runner.progress import (
     HEARTBEAT,
+    MIN_SLICE,
     ProgressBoard,
     ProgressReporter,
     default_progress_path,
@@ -25,14 +26,36 @@ from repro.runner.progress import (
 SCALE = 0.05
 
 
-def _tiny_run():
+def _tiny_run(stop_at=None):
     from repro.sim.topology import path_topology
     from repro.udt import start_udt_flow
 
     top = path_topology(20e6, 0.01)
     start_udt_flow(top.net, top.src, top.dst)
+    if stop_at is not None:
+        top.net.sim.schedule_at(stop_at, top.net.sim.stop)
     top.net.run(until=2.0)
     return top.net.sim
+
+
+def _traced_tiny_run(monkeypatch, path, reporter=None):
+    """Trace bytes, event count and final clock of a fresh ``_tiny_run``."""
+    import itertools
+
+    from repro.obs.export import trace_to_file
+    from repro.sim import packet
+    from repro.udt.sim_adapter import UdtFlow
+
+    # packet uids and flow names come from process-wide counters
+    monkeypatch.setattr(packet, "_packet_ids", itertools.count())
+    monkeypatch.setattr(UdtFlow, "_flow_counter", 0)
+    with trace_to_file(str(path), packets=True):
+        if reporter is None:
+            sim = _tiny_run()
+        else:
+            with reporter:
+                sim = _tiny_run()
+    return path.read_bytes(), sim.events_processed, sim.now
 
 
 class TestReporter:
@@ -60,36 +83,55 @@ class TestReporter:
         assert rec["kind"] == HEARTBEAT and rec["exp"] == "x"
         assert rec["events"] == sim1.events_processed + sim2.events_processed
         assert rec["events"] > 1000
-        assert "vt" not in rec  # no simulator running at sample time
+        assert "vt" not in rec  # no simulator given
 
     def test_rate_and_eta_from_stub_sim(self):
         class Stub:
             now = 1.0
-            events_processed = 0
 
         rep = ProgressReporter("x", interval=10.0, out=io.StringIO())
-        rep._cur_sim = Stub()
-        rep._cur_until = 5.0
-        first = rep.sample()
+        first = rep.sample(Stub, 5.0)
         assert first["vt"] == 1.0 and first["vt_end"] == 5.0
         Stub.now = 2.0
         rep._events_done = 50_000
         time.sleep(0.1)  # a measurable wall delta
-        second = rep.sample()
+        second = rep.sample(Stub, 5.0)
         assert second["eps"] > 0
         # 3 virtual seconds left at 1 virtual second per wall interval
         dw = second["wall"] - first["wall"]
         assert second["eta"] == pytest.approx(3.0 * dw, abs=0.1)
 
-    def test_heartbeat_thread_writes_json_lines(self):
+    def test_sliced_run_is_identical_to_unwrapped(self, tmp_path, monkeypatch):
+        plain = _traced_tiny_run(monkeypatch, tmp_path / "plain.jsonl")
         out = io.StringIO()
-        with ProgressReporter("x", interval=0.02, out=out):
-            time.sleep(0.1)
-        lines = [l for l in out.getvalue().splitlines() if l]
-        assert lines, "no heartbeat emitted"
-        for line in lines:
-            rec = json.loads(line)
-            assert rec["kind"] == HEARTBEAT
+        rep = ProgressReporter("x", interval=0.0, out=out)
+        sliced = _traced_tiny_run(monkeypatch, tmp_path / "sliced.jsonl", rep)
+        assert len(out.getvalue().splitlines()) > 10  # really was sliced
+        assert sliced == plain
+        assert rep.sample()["events"] == plain[1]
+
+    def test_heartbeats_are_monotone(self):
+        out = io.StringIO()
+        with ProgressReporter("x", interval=0.0, out=out):
+            sim = _tiny_run()
+        recs = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert len(recs) > 10
+        assert all(r["kind"] == HEARTBEAT and r["vt_end"] == 2.0 for r in recs)
+        vts = [r["vt"] for r in recs]
+        events = [r["events"] for r in recs]
+        assert vts == sorted(vts) and events == sorted(events)
+        assert vts[-1] == 2.0 and events[-1] == sim.events_processed
+
+    # MIN_SLICE is where the first slice ends: a stop there leaves no
+    # event of that slice queued, and must still end the whole run.
+    @pytest.mark.parametrize("stop_at", [1.234567, MIN_SLICE])
+    def test_stop_mid_slice_matches_unwrapped(self, stop_at):
+        plain = _tiny_run(stop_at=stop_at)
+        with ProgressReporter("x", interval=0.0, out=io.StringIO()):
+            sliced = _tiny_run(stop_at=stop_at)
+        assert sliced.stopped and plain.stopped
+        assert sliced.now == plain.now < 2.0
+        assert sliced.events_processed == plain.events_processed
 
 
 class TestBoard:
